@@ -364,6 +364,11 @@ def _run_cells(config, out_dir, threads, cell, filename):
         (n, k) for n in set(config.n_dims_grid) for k in range(config.n_instances)
     )
     path = os.path.join(out_dir, filename)
+    # the marker stands from the first cell until the full table is in place,
+    # so a crash, kill or Ctrl-C never leaves a table that looks complete
+    marker = path + ".incomplete"
+    with open(marker, "w") as fh:
+        fh.write("run in progress\n")
     rows: list[ExperimentRow] = []
     try:
         if threads > 1:
@@ -375,16 +380,16 @@ def _run_cells(config, out_dir, threads, cell, filename):
         else:
             for n, k in tasks:
                 rows.extend(sorted(cell(config, n, k), key=lambda r: r.algorithm))
-    except Exception as err:
-        # flush what completed, with a validity marker alongside
+    except BaseException as err:
+        # flush what completed; the marker stays alongside
         write_rows(path, rows)
-        with open(path + ".incomplete", "w") as fh:
-            fh.write(f"run aborted: {err}\n")
+        with open(marker, "w") as fh:
+            fh.write(f"run aborted: {type(err).__name__}: {err}\n")
         raise
-    write_rows(path, rows)
-    marker = path + ".incomplete"
-    if os.path.exists(marker):
-        os.remove(marker)
+    tmp = path + ".tmp"
+    write_rows(tmp, rows)
+    os.replace(tmp, path)
+    os.remove(marker)
     return rows, path
 
 

@@ -273,16 +273,13 @@ def selection_crossover(
     offspring_pool: int,
     repeats: int,
     rng: np.random.Generator,
-    *,
-    refresh_parents: bool = True,
 ) -> SearchResult:
     """Two-parent selection and crossover, best offspring over all repeats.
 
     Each repeat selects the minimizers of two fresh uniform pools as parents,
     samples ``offspring_pool`` offspring from their crossover law, and keeps
     the best offspring seen so far (parents themselves never become the
-    answer).  With ``refresh_parents=False`` the first repeat's parents are
-    reused and only the offspring are redrawn.
+    answer).
     """
     if min(pool, offspring_pool, repeats) < 1:
         raise ValueError("pool, offspring_pool and repeats must all be >= 1")
@@ -291,11 +288,9 @@ def selection_crossover(
     evaluations = 0
     distance_sum = 0
     trace = []
-    parents: list[np.ndarray] | None = None
     for _ in range(repeats):
-        if parents is None or refresh_parents:
-            parents = [_pool_minimum(cf, pool, rng)[0] for _ in range(2)]
-            evaluations += 2 * pool
+        parents = [_pool_minimum(cf, pool, rng)[0] for _ in range(2)]
+        evaluations += 2 * pool
         scheme = make_crossover_scheme(parents)
         distance_sum += scheme.n_differing
         offspring = _offspring_block(scheme, offspring_pool, rng)

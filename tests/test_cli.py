@@ -62,7 +62,16 @@ def test_eval_reads_stdin(saved_cost, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "state", ["1 -1", "1 2 1 1 1 1 1 1 1 1", "a b c", "1 " * 11]
+    "state",
+    [
+        "1 -1",
+        "1 2 1 1 1 1 1 1 1 1",
+        "a b c",
+        "1 " * 11,
+        "255 -1 1 1 1 1 1 1 1 1",
+        "257 -1 1 1 1 1 1 1 1 1",
+        "1.5 -1 1 1 1 1 1 1 1 1",
+    ],
 )
 def test_eval_rejects_bad_states(saved_cost, capsys, state):
     path, _ = saved_cost

@@ -252,6 +252,26 @@ def test_partial_results_flushed_on_failure(tmp_path, mini_config):
     assert len(harness.read_rows(tmp_path / "part.csv")) == 16
 
 
+def test_interrupted_rerun_does_not_leave_old_table(tmp_path, mini_config):
+    harness._run_cells(mini_config, tmp_path, 1, harness._fig2_cell, "t.csv")
+    marker = tmp_path / "t.csv.incomplete"
+    assert not marker.exists()
+    assert len(harness.read_rows(tmp_path / "t.csv")) == 16
+    calls = []
+
+    def interrupted_cell(config, n_dims, k):
+        if len(calls) >= 1:
+            raise KeyboardInterrupt
+        calls.append((n_dims, k))
+        return harness._fig2_cell(config, n_dims, k)
+
+    with pytest.raises(KeyboardInterrupt):
+        harness._run_cells(mini_config, tmp_path, 1, interrupted_cell, "t.csv")
+    assert marker.exists() and "aborted" in marker.read_text()
+    assert len(harness.read_rows(tmp_path / "t.csv")) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.csv.incomplete"]
+
+
 # ---------------------------------------------------------------------------
 # plots
 

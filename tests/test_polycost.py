@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossearch as cx
+from crossearch import polycost
 from crossearch.polycost import ORDER_LIMIT
 
 from conftest import enumerate_all, naive_min, naive_value, zero_cost_function
@@ -111,15 +112,45 @@ def test_evaluate_batch_matches_single(n_dims, max_order):
     states = cx.random_states(n_dims, 64, np.random.default_rng(3))
     batch = cx.evaluate_batch(cf, states)
     single = np.array([cx.evaluate(cf, x) for x in states])
-    assert np.allclose(batch, single, atol=2e-5)
+    np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
 
 def test_evaluate_batch_blocking_is_invisible():
     cf = cx.sample_cost_function(10, 3, seed=2)
     states = cx.random_states(10, 100, np.random.default_rng(4))
-    assert np.allclose(
-        cx.evaluate_batch(cf, states, block_rows=7), cx.evaluate_batch(cf, states)
+    np.testing.assert_allclose(
+        cx.evaluate_batch(cf, states, block_rows=7),
+        cx.evaluate_batch(cf, states),
+        rtol=0,
+        atol=1e-12,
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evaluate_batch_exact_across_blocks(data):
+    # orders 1..4 take the dense kernels; order 5 takes the generic chain
+    n = data.draw(st.integers(min_value=3, max_value=14), label="n")
+    k = data.draw(st.integers(min_value=1, max_value=min(n, 5)), label="k")
+    seed = data.draw(st.integers(min_value=0, max_value=1000), label="seed")
+    cf = cx.sample_cost_function(n, k, seed=seed, order_limit=5)
+    block = polycost._eval_arrays(cf)["block_rows"]
+    count = data.draw(st.integers(min_value=block + 1, max_value=2 * block + 3))
+    states = cx.random_states(n, count, np.random.default_rng(seed))
+    # evaluate each distinct row once; small n repeats rows many times over
+    distinct, where = np.unique(states, axis=0, return_inverse=True)
+    single = np.array([cx.evaluate(cf, x) for x in distinct])[where.ravel()]
+    np.testing.assert_allclose(
+        cx.evaluate_batch(cf, states), single, rtol=0, atol=1e-12
+    )
+
+
+def test_evaluate_batch_rejects_values_that_wrap_to_signs():
+    cf = cx.sample_cost_function(3, 2, seed=0)
+    assert cx.evaluate_batch(cf, np.array([[1, -1, 1], [-1, -1, 1]])).shape == (2,)
+    for bad in (255, 257, -129, 1.5):
+        with pytest.raises(ValueError):
+            cx.evaluate_batch(cf, np.array([[1, -1, 1], [bad, -1, 1]]))
 
 
 def test_validate_state_errors():
@@ -129,6 +160,12 @@ def test_validate_state_errors():
         cx.validate_state([1, -1], 3)
     with pytest.raises(ValueError):
         cx.validate_state([[1, -1]], 2)
+    # values that an int8 cast would turn into +-1 are rejected too
+    for bad in ([255, -1, 1], [257, -1, 1], [1.5, -1, 1], [1, -1, -255]):
+        with pytest.raises(ValueError):
+            cx.validate_state(bad, 3)
+    with pytest.raises(ValueError):
+        cx.validate_state(np.array([255, 1, 1], dtype=np.uint8), 3)
     out = cx.validate_state([1, -1, 1], 3)
     assert out.dtype == np.int8
 
