@@ -42,7 +42,7 @@ __all__ = [
 #: sensible at desk scale; pass explicit limits to go beyond.
 DIM_LIMIT = 30
 ORDER_LIMIT = 4
-EXHAUSTIVE_LIMIT = 20
+EXHAUSTIVE_LIMIT = 24
 
 FORMAT_NAME = "crossearch-cost-function"
 FORMAT_VERSION = 1
@@ -198,9 +198,10 @@ def sample_cost_function(
 
 def random_states(n_dims: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform i.i.d. states, one per row, as int8 in {-1, +1}."""
-    return (2 * rng.integers(0, 2, size=(count, n_dims), dtype=np.int8) - 1).astype(
-        np.int8
-    )
+    states = rng.integers(0, 2, size=(count, n_dims), dtype=np.int8)
+    states *= 2
+    states -= 1
+    return states
 
 
 def _as_signs(arr: np.ndarray) -> np.ndarray:
@@ -376,32 +377,65 @@ def _term_signs(cf: CostFunction, x: np.ndarray) -> np.ndarray:
     )
 
 
+def _tuple_masks(lay: _Layout) -> np.ndarray:
+    """Bit mask of every index tuple of a layout, flat canonical order."""
+    return np.concatenate([(1 << t.astype(np.int64)).sum(axis=1) for t in lay.tuples])
+
+
+def _monomial_masks(width: int, max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit masks of every subset of at most ``max_order`` of ``width`` bits.
+
+    The empty subset comes first, the rest in canonical order; ``column[mask]``
+    is the position of the subset with that mask.
+    """
+    masks = np.concatenate([[0], _tuple_masks(_layout(width, min(max_order, width)))])
+    column = np.empty(1 << width, dtype=np.intp)
+    column[masks] = np.arange(masks.size)
+    return masks, column
+
+
 def exhaustive_min(
     cf: CostFunction, *, dim_limit: int = EXHAUSTIVE_LIMIT
 ) -> tuple[np.ndarray, float]:
-    """Exact global minimum by visiting all 2^N states.
+    """Exact global minimum over all 2^N states.
 
-    Walks the reflected Gray code so each step flips one bit and updates the
-    cost by the corresponding single-bit delta; ties keep the state seen first
-    in traversal order.
+    Splits the variables into the low h = N // 2 bits and the high N - h bits.
+    Each term is a monomial of its low bits times a monomial of its high bits,
+    so F = Phi_hi M^T Phi_lo^T, where Phi_lo and Phi_hi hold every monomial
+    of degree <= K (the constant one included) at every half-state and M holds
+    each coefficient at (its low part, its high part).  G = Phi_lo M is formed
+    once; each block of high halves then takes one product Phi_hi[block] G^T,
+    sized to hold about 2^17 values.  A state's position in a block is its
+    integer code (bit i set means x_i = -1), so ties keep the state with the
+    lowest code.
     """
     n = cf.n_dims
     if n > dim_limit:
         raise ValueError(f"exhaustive search limited to N <= {dim_limit}, got {n}")
-    lay = cf.layout
-    signs = np.ones(lay.total, dtype=np.float64)  # start at the all-ones state
-    ranks = lay.bit_ranks
-    coef_by_bit = [cf.coefficients[r] for r in ranks]
-    value = float(cf.coefficients.sum())
-    best_value, best_mask = value, 0
-    for step in range(1, 1 << n):
-        bit = (step & -step).bit_length() - 1
-        idx = ranks[bit]
-        value -= 2.0 * float(coef_by_bit[bit] @ signs[idx])
-        signs[idx] = -signs[idx]
-        if value < best_value:
-            best_value, best_mask = value, step ^ (step >> 1)
-    bits = (best_mask >> np.arange(n)) & 1
+    low = n // 2
+    masks_lo, column_lo = _monomial_masks(low, cf.max_order)
+    masks_hi, column_hi = _monomial_masks(n - low, cf.max_order)
+    masks = _tuple_masks(cf.layout)
+    mixed = np.zeros((masks_lo.size, masks_hi.size))
+    mixed[column_lo[masks & ((1 << low) - 1)], column_hi[masks >> low]] = cf.coefficients
+    hi_count = 1 << (n - low)
+    # parity[v] = (-1)^popcount(v): the value at code c of the monomial with
+    # mask m is parity[c & m]; sized for the high half, the wider one
+    parity = np.ones(hi_count)
+    for b in range(n - low):
+        parity[1 << b : 2 << b] = -parity[: 1 << b]
+    lo_codes = np.arange(1 << low, dtype=np.int64)
+    partial_t = (parity[lo_codes[:, None] & masks_lo] @ mixed).T
+    # powers of two, so the blocks tile the high codes exactly
+    rows = min(hi_count, max(1, _BLOCK_ELEMENTS >> low))
+    best_value, best_code = np.inf, 0
+    for start in range(0, hi_count, rows):
+        hi_codes = np.arange(start, start + rows, dtype=np.int64)
+        values = parity[hi_codes[:, None] & masks_hi] @ partial_t
+        i = int(np.argmin(values))
+        if values.flat[i] < best_value:
+            best_value, best_code = values.flat[i], (start << low) + i
+    bits = (best_code >> np.arange(n)) & 1
     state = (1 - 2 * bits).astype(np.int8)
     return state, evaluate(cf, state)
 

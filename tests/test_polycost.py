@@ -172,8 +172,11 @@ def test_validate_state_errors():
 
 def test_random_states_are_signs():
     states = cx.random_states(15, 200, np.random.default_rng(11))
-    assert states.shape == (200, 15)
+    assert states.shape == (200, 15) and states.dtype == np.int8
     assert set(np.unique(states)) == {-1, 1}
+    # one int8 bit draw per entry, so seeded streams stay reproducible
+    bits = np.random.default_rng(11).integers(0, 2, size=(200, 15), dtype=np.int8)
+    assert np.array_equal(states, 2 * bits.astype(np.int64) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +229,13 @@ def test_multilinear_extension_is_affine_per_coordinate():
 # exhaustive enumeration
 
 
-@pytest.mark.parametrize("n_dims,max_order,seed", [(4, 2, 0), (6, 3, 1), (8, 4, 2), (10, 2, 3)])
+@pytest.mark.parametrize(
+    "n_dims,max_order,seed",
+    [
+        (4, 2, 0), (6, 3, 1), (8, 4, 2), (10, 2, 3),
+        (1, 1, 4), (3, 3, 5), (5, 4, 6), (7, 2, 7), (9, 3, 8),
+    ],
+)
 def test_exhaustive_min_matches_full_enumeration(n_dims, max_order, seed):
     cf = cx.sample_cost_function(n_dims, max_order, seed=seed)
     state, value = cx.exhaustive_min(cf)
@@ -243,8 +252,47 @@ def test_exhaustive_min_zero_function_first_seen_tie_break():
     assert np.array_equal(state, np.ones(6, dtype=np.int8))
 
 
-def test_exhaustive_min_respects_dimension_cap():
+@settings(max_examples=40, deadline=None)
+@given(
+    n_dims=st.integers(1, 12),
+    order=st.integers(1, ORDER_LIMIT),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_exhaustive_min_equals_oracle(n_dims, order, seed):
+    cf = cx.sample_cost_function(n_dims, min(order, n_dims), seed=seed)
+    state, value = cx.exhaustive_min(cf)
+    oracle_state, oracle_value = naive_min(cf)
+    assert np.array_equal(state, oracle_state)
+    assert value == pytest.approx(oracle_value, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_dims,max_order,var", [(6, 2, 5), (18, 1, 0)])
+def test_exhaustive_min_ties_keep_lowest_code(n_dims, max_order, var):
+    # F = x_var: every state with x_var = -1 ties, and the lowest code sets only
+    # that bit; at N=18 the tied states span several blocks of high halves
+    coefficients = np.zeros(cx.coefficient_count(n_dims, max_order))
+    coefficients[var] = 1.0
+    variance = cx.uniform_order_variance(n_dims, max_order)
+    cf = cx.CostFunction(n_dims, max_order, variance, coefficients)
+    state, value = cx.exhaustive_min(cf)
+    expected = np.ones(n_dims, dtype=np.int8)
+    expected[var] = -1
+    assert value == -1.0
+    assert np.array_equal(state, expected)
+    assert np.array_equal(state, naive_min(cf)[0])
+
+
+def test_exhaustive_min_beyond_twenty_dims():
     cf = cx.sample_cost_function(22, 2, seed=0)
+    state, value = cx.exhaustive_min(cf)
+    assert value == cx.evaluate(cf, state)
+    sampled = cx.evaluate_batch(cf, cx.random_states(22, 4096, np.random.default_rng(0)))
+    assert value <= sampled.min()
+
+
+def test_exhaustive_min_respects_dimension_cap():
+    n_dims = polycost.EXHAUSTIVE_LIMIT + 1
+    cf = cx.sample_cost_function(n_dims, 2, seed=0)
     with pytest.raises(ValueError):
         cx.exhaustive_min(cf)
     # the cap is explicit and adjustable
