@@ -256,14 +256,90 @@ def multilinear_extension(cf: CostFunction, z: np.ndarray) -> float:
     return total
 
 
-def _pair_rank(j: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # colex rank of the pair (j < k): C(k,2) + C(j,1)
-    return (k.astype(np.int64) * (k.astype(np.int64) - 1)) // 2 + j
-
-
 #: Rows per block of :func:`evaluate_batch`: about 2^17 float64 entries (1 MB)
 #: in its widest temporary, so each block's working set stays in cache.
 _BLOCK_ELEMENTS = 1 << 17
+
+#: Modeled cost of one product of the order-3/4 staircase, in multiply-adds per
+#: state.  Small products run far below the BLAS peak, so a product is worth
+#: merging with its neighbour until the zeros it then multiplies cost more.
+_PRODUCT_COST = 512
+
+
+def _staircase_edges(n_dims: int, start: np.ndarray) -> list[int]:
+    """Group edges over the top index j of the low pairs (see evaluate_batch).
+
+    A group of tops [j0, j1) costs its C(j1,2) - C(j0,2) output rows times
+    its input suffix, plus ``_PRODUCT_COST``; the edges minimize the total.
+    """
+    top = n_dims - 1  # tops 1 .. n-2 have inputs
+    best = np.zeros(top + 1)
+    follow = np.full(top + 1, top)
+    for j0 in range(top - 1, 0, -1):
+        suffix = start[-1] - start[j0 + 1]
+        costs = [
+            suffix * (comb(j1, 2) - comb(j0, 2)) + _PRODUCT_COST + best[j1]
+            for j1 in range(j0 + 1, top + 1)
+        ]
+        follow[j0] = j0 + 1 + int(np.argmin(costs))
+        best[j0] = min(costs)
+    edges = [1]
+    while edges[-1] < top:
+        edges.append(int(follow[edges[-1]]))
+    return edges
+
+
+def _staircase(cf: CostFunction) -> dict:
+    """The order-3/4 coefficients as one product per group of low pairs."""
+    n, quartic = cf.n_dims, cf.max_order == 4
+    # inputs z: x_m at order 3; at order 4 the pairs x_m x_l (l > m) and then
+    # x_m itself, as x_m times a constant 1.  Ordered by lowest index m, so
+    # start[m] begins the suffix m, m+1, ...; m >= 2, as every top is >= 1.
+    lengths = n - np.arange(n) if quartic else np.ones(n, dtype=np.int64)
+    lengths[:2] = 0
+    start = np.concatenate([[0], np.cumsum(lengths)])
+    # outputs: the low pairs (i, j) with j <= n - 2, in colex order
+    i, j, k = cf.layout.tuples[2].astype(np.int64).T
+    inputs = start[k] + (n - 1 - k if quartic else 0)
+    table = np.zeros((comb(n - 1, 2), int(start[-1])))
+    table[j * (j - 1) // 2 + i, inputs] = cf.order_block(3)
+    if quartic:
+        i, j, k, l = cf.layout.tuples[3].astype(np.int64).T
+        table[j * (j - 1) // 2 + i, start[k] + l - k - 1] = cf.order_block(4)
+    edges = _staircase_edges(n, start)
+    groups = []
+    for j0, j1 in zip(edges[:-1], edges[1:]):
+        r0, r1, s = comb(j0, 2), comb(j1, 2), int(start[j0 + 1])
+        groups.append((r0, r1, s, np.ascontiguousarray(table[r0:r1, s:])))
+    return {"groups": groups, "start": start, "quartic": quartic, "shape": table.shape}
+
+
+def _staircase_block(stair: dict, x: np.ndarray) -> np.ndarray:
+    """Order-3/4 part of F on the rows of x (float64, one state per row).
+
+    Works on transposed tables, one row per variable or pair, so every slice
+    below is contiguous.
+    """
+    rows, n = x.shape
+    ext = np.empty((n + 1, rows))
+    ext[:n] = x.T
+    ext[n] = 1.0
+    start = stair["start"]
+    if stair["quartic"]:
+        z = np.empty((int(start[-1]), rows))
+        for m in range(2, n):
+            np.multiply(ext[m + 1 :], ext[m], out=z[start[m] : start[m + 1]])
+    else:
+        z = ext[2:n]
+    part = np.empty((stair["shape"][0], rows))
+    for r0, r1, s, coef in stair["groups"]:
+        np.matmul(coef, z[s:], out=part[r0:r1])
+    # sum over (i, j) of x_i x_j part_ij, one top j at a time
+    total = np.zeros(rows)
+    for j in range(1, n - 1):
+        low = part[j * (j - 1) // 2 : j * (j + 1) // 2]
+        total += ext[j] * np.einsum("ij,ij->j", low, ext[:j])
+    return total
 
 
 def _eval_arrays(cf: CostFunction) -> dict:
@@ -280,23 +356,12 @@ def _eval_arrays(cf: CostFunction) -> dict:
         upper = np.zeros((n, n))
         upper[t2[:, 0], t2[:, 1]] = cf.order_block(2)
         arrays["order2"] = upper
-    if k >= 3:
-        arrays["i2a"] = t2[:, 0].astype(np.intp)
-        arrays["i2b"] = t2[:, 1].astype(np.intp)
-        widest = lay.counts[1]
     if 3 <= k <= 4:
-        t3 = lay.tuples[2]
-        a3 = np.zeros((n, lay.counts[1]))
-        a3[t3[:, 0], _pair_rank(t3[:, 1], t3[:, 2])] = cf.order_block(3)
-        arrays["order3"] = a3
-    if k == 4:
-        t4 = lay.tuples[3]
-        a4 = np.zeros((lay.counts[1], lay.counts[1]))
-        a4[_pair_rank(t4[:, 0], t4[:, 1]), _pair_rank(t4[:, 2], t4[:, 3])] = (
-            cf.order_block(4)
-        )
-        arrays["order4"] = a4
+        arrays["stair"] = _staircase(cf)
+        widest = max(n + 1, *arrays["stair"]["shape"])
     if k >= 5:  # generic chain: extend product tables one order at a time
+        arrays["i2a"] = lay.tuples[1][:, 0].astype(np.intp)
+        arrays["i2b"] = lay.tuples[1][:, 1].astype(np.intp)
         arrays["chain"] = [
             (lay.prefix[a - 1], lay.last[a - 1], cf.order_block(a))
             for a in range(3, k + 1)
@@ -307,22 +372,28 @@ def _eval_arrays(cf: CostFunction) -> dict:
     return arrays
 
 
-def evaluate_batch(
-    cf: CostFunction, states: np.ndarray, *, block_rows: int | None = None
-) -> np.ndarray:
+def evaluate_batch(cf: CostFunction, states: np.ndarray) -> np.ndarray:
     """F over a batch of states (one per row), vectorized and exact in float64.
 
     Order two is the quadratic form x^T U x with U the strictly upper
-    triangular order-2 coefficients.  Orders three and four contract the pair
-    products P against precomputed matrices, rowsum((x A3 + P A4) * P), and
-    higher orders extend P one order at a time.  Rows are processed in blocks
-    sized so the widest temporary holds about 2^17 entries; ``block_rows``
-    overrides that choice.
+    triangular order-2 coefficients.  Orders three and four are a staircase
+    of products: every term (i<j<k) or (i<j<k<l) is a low pair x_i x_j times
+    an input with lowest index k > j, either x_k or the pair x_k x_l.  With
+    the inputs ordered by lowest index, the inputs of the low pairs of one
+    top index j form a suffix, so each group of consecutive tops takes one
+    product of that suffix with its coefficients and skips the blocks of a
+    dense pair-by-pair table that are zero.  The group edges minimize a model
+    of multiply-adds plus a fixed cost per product.  Higher orders extend the
+    pair products one order at a time.  Rows are processed in blocks sized so
+    the widest temporary holds about 2^17 entries.
     """
-    states = _validate_batch(states, cf.n_dims)
+    return _evaluate_rows(cf, _validate_batch(states, cf.n_dims))
+
+
+def _evaluate_rows(cf: CostFunction, states: np.ndarray) -> np.ndarray:
+    """:func:`evaluate_batch` on rows already known to be int8 signs."""
     ev = _eval_arrays(cf)
-    if block_rows is None:
-        block_rows = ev["block_rows"]
+    block_rows = ev["block_rows"]
     out = np.empty(states.shape[0], dtype=np.float64)
     for lo in range(0, states.shape[0], block_rows):
         x = states[lo : lo + block_rows].astype(np.float64)
@@ -331,16 +402,10 @@ def evaluate_batch(
             quad = x @ ev["order2"]
             quad *= x
             acc += quad.sum(axis=1)
-        if "i2a" in ev:
-            pairs = x[:, ev["i2a"]] * x[:, ev["i2b"]]
-        if "order3" in ev:
-            part = x @ ev["order3"]
-            if "order4" in ev:
-                part += pairs @ ev["order4"]
-            part *= pairs
-            acc += part.sum(axis=1)
+        if "stair" in ev:
+            acc += _staircase_block(ev["stair"], x)
         if "chain" in ev:
-            table = pairs
+            table = x[:, ev["i2a"]] * x[:, ev["i2b"]]
             for prefix, last, coef in ev["chain"]:
                 table = table[:, prefix] * x[:, last]
                 acc += table @ coef

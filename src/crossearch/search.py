@@ -18,10 +18,10 @@ import numpy as np
 from .polycost import (
     CostFunction,
     evaluate,
-    evaluate_batch,
     multilinear_extension,
     random_states,
     validate_state,
+    _evaluate_rows,
     _term_signs,
 )
 
@@ -96,16 +96,17 @@ class RunningMoments:
         return float(np.sqrt(self.variance))
 
 
+#: States drawn and evaluated per block by the streaming samplers.  Part of
+#: the documented draw order: changing it changes the random streams.
+_SAMPLE_BLOCK = 65536
+
+
 # ---------------------------------------------------------------------------
 # blind sampling
 
 
 def random_search(
-    cf: CostFunction,
-    n_samples: int,
-    rng: np.random.Generator,
-    *,
-    block_rows: int = 65536,
+    cf: CostFunction, n_samples: int, rng: np.random.Generator
 ) -> SearchResult:
     """Best of ``n_samples`` uniform i.i.d. states (ties keep the earliest)."""
     if n_samples < 1:
@@ -114,9 +115,9 @@ def random_search(
     best_state: np.ndarray | None = None
     done = 0
     while done < n_samples:
-        count = min(block_rows, n_samples - done)
+        count = min(_SAMPLE_BLOCK, n_samples - done)
         states = random_states(cf.n_dims, count, rng)
-        values = evaluate_batch(cf, states)
+        values = _evaluate_rows(cf, states)
         j = int(np.argmin(values))
         if values[j] < best_value:
             best_value = float(values[j])
@@ -243,7 +244,7 @@ def _offspring_block(
     scheme: CrossoverScheme, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     draws = rng.random((count, scheme.n_dims))
-    return np.where(draws < scheme.selection_probability, 1, -1).astype(np.int8)
+    return np.where(draws < scheme.selection_probability, np.int8(1), np.int8(-1))
 
 
 def sample_offspring(scheme: CrossoverScheme, rng: np.random.Generator) -> np.ndarray:
@@ -255,7 +256,7 @@ def _pool_minimum(
     cf: CostFunction, pool: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
     states = random_states(cf.n_dims, pool, rng)
-    values = evaluate_batch(cf, states)
+    values = _evaluate_rows(cf, states)
     j = int(np.argmin(values))
     return states[j].copy(), float(values[j])
 
@@ -294,7 +295,7 @@ def selection_crossover(
         scheme = make_crossover_scheme(parents)
         distance_sum += scheme.n_differing
         offspring = _offspring_block(scheme, offspring_pool, rng)
-        values = evaluate_batch(cf, offspring)
+        values = _evaluate_rows(cf, offspring)
         evaluations += offspring_pool
         j = int(np.argmin(values))
         if values[j] < best_value:
@@ -347,7 +348,7 @@ def mean_field_search(
             cf, 2.0 * scheme.selection_probability - 1.0
         )
         offspring = _offspring_block(scheme, offspring_pool, rng)
-        values = evaluate_batch(cf, offspring)
+        values = _evaluate_rows(cf, offspring)
         evaluations += offspring_pool
         j = int(np.argmin(values))
         if values[j] < best_value:
@@ -372,8 +373,6 @@ def offspring_statistics(
     scheme: CrossoverScheme,
     n_samples: int,
     rng: np.random.Generator,
-    *,
-    block_rows: int = 65536,
 ) -> tuple[float, float]:
     """Streaming sample mean and (unbiased) variance of offspring costs."""
     if n_samples < 2:
@@ -381,8 +380,8 @@ def offspring_statistics(
     moments = RunningMoments()
     done = 0
     while done < n_samples:
-        count = min(block_rows, n_samples - done)
+        count = min(_SAMPLE_BLOCK, n_samples - done)
         offspring = _offspring_block(scheme, count, rng)
-        moments.push_block(evaluate_batch(cf, offspring))
+        moments.push_block(_evaluate_rows(cf, offspring))
         done += count
     return moments.mean, moments.variance

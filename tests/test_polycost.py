@@ -106,7 +106,11 @@ def test_evaluate_matches_naive_oracle(n_dims, max_order):
         assert cx.evaluate(cf, x) == pytest.approx(naive_value(cf, x), abs=1e-10)
 
 
-@pytest.mark.parametrize("n_dims,max_order", [(6, 1), (10, 2), (11, 3), (12, 4), (9, 6)])
+@pytest.mark.parametrize(
+    "n_dims,max_order",
+    [(6, 1), (10, 2), (11, 3), (12, 4), (9, 6),
+     (4, 4), (5, 4), (20, 3), (20, 4), (30, 3), (30, 4)],
+)
 def test_evaluate_batch_matches_single(n_dims, max_order):
     cf = cx.sample_cost_function(n_dims, max_order, seed=21, order_limit=8)
     states = cx.random_states(n_dims, 64, np.random.default_rng(3))
@@ -116,10 +120,15 @@ def test_evaluate_batch_matches_single(n_dims, max_order):
 
 
 def test_evaluate_batch_blocking_is_invisible():
+    # one call crosses two internal block boundaries; calls of 7 rows stay
+    # within one block each
     cf = cx.sample_cost_function(10, 3, seed=2)
-    states = cx.random_states(10, 100, np.random.default_rng(4))
+    block = polycost._eval_arrays(cf)["block_rows"]
+    states = cx.random_states(10, 2 * block + 5, np.random.default_rng(4))
     np.testing.assert_allclose(
-        cx.evaluate_batch(cf, states, block_rows=7),
+        np.concatenate(
+            [cx.evaluate_batch(cf, states[lo : lo + 7]) for lo in range(0, len(states), 7)]
+        ),
         cx.evaluate_batch(cf, states),
         rtol=0,
         atol=1e-12,
@@ -129,9 +138,11 @@ def test_evaluate_batch_blocking_is_invisible():
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_evaluate_batch_exact_across_blocks(data):
-    # orders 1..4 take the dense kernels; order 5 takes the generic chain
-    n = data.draw(st.integers(min_value=3, max_value=14), label="n")
-    k = data.draw(st.integers(min_value=1, max_value=min(n, 5)), label="k")
+    # orders 1..2 take the dense kernels, 3..4 the staircase (up to the
+    # default dimension cap), order 5 the generic chain
+    k = data.draw(st.integers(min_value=1, max_value=5), label="k")
+    top = polycost.DIM_LIMIT if k in (3, 4) else 14
+    n = data.draw(st.integers(min_value=max(k, 3), max_value=top), label="n")
     seed = data.draw(st.integers(min_value=0, max_value=1000), label="seed")
     cf = cx.sample_cost_function(n, k, seed=seed, order_limit=5)
     block = polycost._eval_arrays(cf)["block_rows"]
@@ -143,6 +154,17 @@ def test_evaluate_batch_exact_across_blocks(data):
     np.testing.assert_allclose(
         cx.evaluate_batch(cf, states), single, rtol=0, atol=1e-12
     )
+
+
+@pytest.mark.parametrize("n_dims", [20, 30])
+def test_staircase_skips_the_zero_blocks(n_dims):
+    # every order-3/4 coefficient sits in exactly one product, and the
+    # products multiply few zeros besides them
+    cf = cx.sample_cost_function(n_dims, 4, seed=0)
+    coefs = [coef for *_, coef in polycost._eval_arrays(cf)["stair"]["groups"]]
+    terms = math.comb(n_dims, 3) + math.comb(n_dims, 4)
+    assert sum(np.count_nonzero(c) for c in coefs) == terms
+    assert sum(c.size for c in coefs) <= 1.5 * terms
 
 
 def test_evaluate_batch_rejects_values_that_wrap_to_signs():

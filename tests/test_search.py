@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossearch as cx
+from crossearch import search
 from crossearch.search import RunningMoments
 from crossearch.seeding import stream
 
@@ -195,6 +196,15 @@ def test_offspring_deterministic_when_parents_agree():
     scheme = cx.make_crossover_scheme([x, x])
     child = cx.sample_offspring(scheme, stream(1, 0))
     assert np.array_equal(child, x)
+
+
+def test_offspring_are_int8_signs():
+    # drawn straight as int8, with the values of the documented draw order
+    scheme = cx.make_crossover_scheme(cx.random_states(12, 4, np.random.default_rng(11)))
+    block = search._offspring_block(scheme, 200, stream(4, 0))
+    draws = stream(4, 0).random((200, 12))
+    assert block.dtype == np.int8
+    assert np.array_equal(block, np.where(draws < scheme.selection_probability, 1, -1))
 
 
 def test_offspring_preserve_schema_positions():
